@@ -79,8 +79,7 @@ def _install_fresh_stores():
 def test_fleet_telemetry_overhead(benchmark, overhead_fleet, save_result):
     fleet, lanes = overhead_fleet
 
-    # Warm the pipeline's standardization memo for every lane so neither
-    # timed path pays one-off preparation.
+    # One untimed run so neither timed path pays first-call costs.
     run_fleet(fleet, lanes, max_horizons=1)
 
     # Time both arms with the cyclic collector off, as ``timeit`` does:

@@ -44,8 +44,8 @@ def test_sharded_throughput(benchmark, get_experiment, save_result):
     sharded = ShardedFleetMarshaller(fleet, NUM_SHARDS)
     lanes = build_fleet_lanes(experiment, FLEET_SIZE)
 
-    # Warm the pipeline's standardization memo for every lane so neither
-    # path pays the one-off matrix preparation inside its timed region.
+    # One untimed run so the single-process arm pays no first-call costs
+    # inside its timed region.
     _run_single(fleet, lanes)
 
     report = benchmark.pedantic(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..core.inference import PredictionBatch
 from ..data.records import RecordSet
@@ -47,6 +46,7 @@ class _EventProcess:
 
     def gap_cdf(self, t: np.ndarray) -> np.ndarray:
         """P(gap ≤ t) under the fitted log-normal."""
+        from scipy import stats
         t = np.maximum(np.asarray(t, dtype=float), 1e-9)
         return stats.norm.cdf(
             (np.log(t) - self.log_gap_mean) / max(self.log_gap_std, 1e-6)
@@ -64,6 +64,7 @@ class _EventProcess:
         self, elapsed: np.ndarray, horizon: int
     ) -> np.ndarray:
         """Median of (gap − elapsed) conditioned on the onset landing in H."""
+        from scipy import stats
         elapsed = np.asarray(elapsed, dtype=float)
         lower = self.gap_cdf(elapsed)
         upper = self.gap_cdf(elapsed + horizon)

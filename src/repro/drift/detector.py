@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["DriftVerdict", "PValueDriftDetector", "MissRateCusum"]
 
@@ -115,6 +114,7 @@ class PValueDriftDetector:
         n = min(len(self._reference), len(self._recent))
         if n < self.min_samples:
             return DriftVerdict(False, 0.0, self.significance, n)
+        from scipy import stats
         result = stats.ks_2samp(list(self._reference), list(self._recent))
         return DriftVerdict(
             drifted=bool(result.pvalue < self.significance),

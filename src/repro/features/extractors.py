@@ -151,12 +151,7 @@ class FeatureExtractor:
                 # correlation length (~5 frames) keeps the channel from
                 # acting as a stream-position code that a model could use
                 # to memorise the training schedule.
-                from scipy.signal import lfilter
-
-                phi = 0.8
-                noise = rng.normal(0, 0.6, size=n)
-                ar = lfilter([1.0], [1.0, -phi], noise)
-                columns.append(np.tanh(ar))
+                columns.append(np.tanh(_ar1(rng.normal(0, 0.6, size=n), 0.8)))
             elif c % 3 == 1:
                 # Flicker: fast sinusoid with a random short period and
                 # phase — periodic everywhere, so positionally ambiguous.
@@ -225,6 +220,16 @@ class FeatureExtractor:
             amplitude[segment] = 1.0 + weight * (pct - 0.5)
             previous_end = inst.end + 1
         return amplitude
+
+
+def _ar1(noise: np.ndarray, phi: float) -> np.ndarray:
+    """``y[t] = noise[t] + phi*y[t-1]`` in ``scipy.signal.lfilter([1], [1,
+    -phi], noise)``'s operation order: bitwise its output, without scipy."""
+    out, y = [], 0.0
+    for x in noise.tolist():
+        y = x + phi * y
+        out.append(y)
+    return np.array(out, dtype=float)
 
 
 def extract_features(

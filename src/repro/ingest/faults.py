@@ -232,8 +232,8 @@ class IngestFaultInjector:
         """The corrupted copy of ``features`` this plan produces.
 
         The input is never mutated; with an empty plan the *same object*
-        is returned, so the zero-fault path costs nothing and downstream
-        memoization (``CovariatePipeline._prepared``) keys stay stable.
+        is returned, so the zero-fault path costs nothing and copies
+        nothing.
         """
         plan = self.plan
         num_frames = features.num_frames

@@ -329,49 +329,50 @@ class StreamGuard:
         """Run the hysteresis state machine over the per-frame verdicts."""
         config = self.config
         num_frames = invalid.shape[0]
-        health = np.zeros(num_frames, dtype=np.int8)
-        transitions: List[Tuple[int, str, str]] = []
-        if not invalid.any():
-            return health, transitions
-
+        frames = np.arange(num_frames)
         cum = np.concatenate(([0], np.cumsum(invalid)))
-        gaps = _gap_lengths(invalid)
-        window = config.window
-        state = HEALTHY
-        clean_streak = 0
-        for frame in range(num_frames):
-            start = max(0, frame + 1 - window)
-            rate = (cum[frame + 1] - cum[start]) / (frame + 1 - start)
-            gap = gaps[frame]
-            new_state = state
-            if state == HEALTHY:
-                if gap > config.max_gap or rate >= config.quarantine_rate:
-                    new_state = QUARANTINED
-                elif rate >= config.degrade_rate:
-                    new_state = DEGRADED
-            elif state == DEGRADED:
-                if gap > config.max_gap or rate >= config.quarantine_rate:
-                    new_state = QUARANTINED
-                elif rate <= config.recover_rate:
-                    new_state = HEALTHY
-            elif state == QUARANTINED:
-                if not invalid[frame] and rate <= config.recover_rate:
-                    new_state = RECOVERING
-                    clean_streak = 1
-            else:  # RECOVERING
-                if invalid[frame]:
-                    new_state = QUARANTINED
-                else:
-                    clean_streak += 1
-                    if clean_streak >= config.recovery_frames:
-                        new_state = HEALTHY
-            if new_state != state:
-                transitions.append(
-                    (frame, HEALTH_STATES[state], HEALTH_STATES[new_state])
-                )
-                state = new_state
-            health[frame] = state
-        return health, transitions
+        starts = np.maximum(0, frames + 1 - config.window)
+        rate = (cum[frames + 1] - cum[starts]) / (frames + 1 - starts)
+        trip = (_gap_lengths(invalid) > config.max_gap) | (
+            rate >= config.quarantine_rate
+        )
+        clean = rate <= config.recover_rate
+        # Ascending frames at which each state is left.
+        exits = {
+            HEALTHY: np.flatnonzero(trip | (rate >= config.degrade_rate)),
+            DEGRADED: np.flatnonzero(trip | clean),
+            QUARANTINED: np.flatnonzero(~invalid & clean),
+            RECOVERING: np.flatnonzero(invalid),
+        }
+        # RECOVERING is entered with a clean streak of 1 and checked from
+        # the next frame, so it heals this many frames after entry.
+        heal_after = max(1, config.recovery_frames - 1)
+
+        transitions: List[Tuple[int, str, str]] = []
+        states, entered = [HEALTHY], [0]
+        state, at = HEALTHY, -1
+        while True:
+            exit_at = exits[state]
+            i = np.searchsorted(exit_at, at, side="right")
+            nxt = int(exit_at[i]) if i < exit_at.size else num_frames
+            if state == RECOVERING:
+                nxt = min(nxt, at + heal_after)
+            if nxt >= num_frames:
+                break
+            if state == QUARANTINED:
+                new = RECOVERING
+            elif state == RECOVERING:
+                new = QUARANTINED if invalid[nxt] else HEALTHY
+            elif trip[nxt]:
+                new = QUARANTINED
+            else:
+                new = DEGRADED if state == HEALTHY else HEALTHY
+            transitions.append((nxt, HEALTH_STATES[state], HEALTH_STATES[new]))
+            state, at = new, nxt
+            states.append(state)
+            entered.append(at)
+        lengths = np.diff(entered + [num_frames])
+        return np.repeat(np.array(states, dtype=np.int8), lengths), transitions
 
     def sanitize(self, features: FeatureMatrix) -> GuardedStream:
         """Validate, impute, and grade ``features``.

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "SurvivalData",
@@ -118,6 +117,7 @@ class KaplanMeier:
         """Pointwise normal-approximation band for Ŝ(t)."""
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
+        from scipy import stats
         s = self.survival(t)
         half = stats.norm.ppf(0.5 + level / 2) * np.sqrt(self.variance(t))
         return np.clip(s - half, 0, 1), np.clip(s + half, 0, 1)
@@ -197,6 +197,7 @@ def logrank_test(group_a: SurvivalData, group_b: SurvivalData) -> LogRankResult:
     if variance <= 0:
         return LogRankResult(0.0, 1.0, (observed_a, observed_b),
                              (expected_a, expected_b))
+    from scipy import stats
     statistic = (observed_a - expected_a) ** 2 / variance
     p_value = float(stats.chi2.sf(statistic, df=1))
     return LogRankResult(

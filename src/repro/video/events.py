@@ -190,13 +190,13 @@ class EventSchedule:
         Feature extraction uses this to shape the precursor ramp (the ramp
         anticipates each upcoming onset).
         """
+        # Buckets are sorted by start, so the next onset is a binary search.
+        starts = np.array([i.start for i in self.instances_of(event_type)])
+        frames = np.arange(self.length)
+        nxt = np.searchsorted(starts, frames)
         dist = np.full(self.length, np.inf)
-        next_onset = np.inf
-        starts = {inst.start for inst in self._by_type.get(event_type.name, [])}
-        for t in range(self.length - 1, -1, -1):
-            if t in starts:
-                next_onset = t
-            dist[t] = next_onset - t if np.isfinite(next_onset) else np.inf
+        ahead = nxt < starts.size
+        dist[ahead] = starts[nxt[ahead]] - frames[ahead]
         return dist
 
     # ------------------------------------------------------------------

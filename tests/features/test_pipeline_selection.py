@@ -78,6 +78,29 @@ class TestCovariatePipeline:
         with pytest.raises(ValueError):
             CovariatePipeline(0)
 
+    def test_many_lanes_bitwise_and_stateless(self):
+        # More lanes than the 64-entry memo the pipeline used to keep:
+        # round-robin over 65 streams must cost and return the same for
+        # every lane, with nothing retained per stream.
+        rng = np.random.default_rng(0)
+        lanes = [
+            FeatureMatrix(rng.normal(3, 2, size=(40, 5)), list("abcde"))
+            for _ in range(65)
+        ]
+        std = Standardizer.fit(np.concatenate([fm.values for fm in lanes]))
+        pipe = CovariatePipeline(window_size=6, standardizer=std)
+        state = dict(vars(pipe))
+        for frame in (5, 17, 39):
+            for fm in lanes:
+                expected = std.transform(fm.values)
+                window = pipe.covariates_at(fm, frame)
+                assert window.tobytes() == expected[frame - 5 : frame + 1].tobytes()
+                batch = pipe.covariate_batch(fm, [5, frame])
+                assert batch[1].tobytes() == window.tobytes()
+                assert batch[0].tobytes() == expected[0:6].tobytes()
+        assert vars(pipe) == state
+        assert set(state) == {"window_size", "standardizer"}
+
 
 class TestFeatureSelection:
     def make_correlated(self, n=2000, seed=0):
