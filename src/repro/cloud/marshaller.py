@@ -1,4 +1,4 @@
-"""The runtime marshalling loop of Fig. 1.
+"""The marshalling decisions of Fig. 1 and their report.
 
 Deployment works horizon by horizon: at the current frame the marshaller
 assembles the collection window, asks EventHit (optionally through
@@ -7,12 +7,17 @@ time horizon, relays only the predicted occurrence intervals to the CI, and
 then advances to the next horizon.  Everything the paper's case studies
 measure — relayed frames, dollar cost, recall of true event frames — is
 collected in the :class:`MarshallingReport`.
+
+:class:`StreamMarshaller` owns the decision engine (model, conformal
+layers, thresholds, pipeline); the horizon loop itself lives in
+:mod:`repro.fleet.marshaller`, and :meth:`StreamMarshaller.run` is a
+one-lane run of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,42 +28,16 @@ from ..core.inference import extract_interval_segments, extract_intervals
 from ..core.model import EventHit
 from ..features.extractors import FeatureMatrix
 from ..features.pipeline import CovariatePipeline
-from ..ingest.guard import HEALTHY, QUARANTINED, GuardedStream, StreamGuard
-from ..obs import inc, is_enabled, log_info, set_gauge, span
+from ..ingest.guard import StreamGuard
+from ..obs import inc
 from ..video.events import EventType
-from ..video.stream import StreamSegment, VideoStream
-from .faults import CIError
+from ..video.stream import VideoStream
 from .service import CloudInferenceService, Detection
 
 __all__ = ["MarshallingReport", "StreamMarshaller", "FAILURE_POLICIES"]
 
 #: Valid ``failure_policy`` values for :meth:`StreamMarshaller.run`.
 FAILURE_POLICIES = ("raise", "skip", "defer")
-
-
-@dataclass
-class _DeferredSegment:
-    """A relay that exhausted its retries, queued for a later horizon."""
-
-    segment: StreamSegment
-    event_type: EventType
-    deferrals: int = 1
-
-
-def _truth_frames_in(
-    stream: VideoStream, segment: StreamSegment, event_type: EventType
-) -> set:
-    """Ground-truth event frames of ``event_type`` inside ``segment``."""
-    frames: set = set()
-    for instance in stream.schedule.instances_of(event_type):
-        if instance.overlaps(segment.start, segment.end):
-            frames.update(
-                range(
-                    max(instance.start, segment.start),
-                    min(instance.end, segment.end) + 1,
-                )
-            )
-    return frames
 
 
 def _merge_runs(runs):
@@ -370,20 +349,9 @@ class StreamMarshaller:
         ]
         return exists, segments
 
-    def _horizon_truth_frames(
-        self, stream: VideoStream, frame: int, event_type: EventType
-    ) -> set:
-        """Absolute ground-truth frames of ``event_type`` in the horizon
-        starting at ``frame`` (recall accounting; shared with the fleet)."""
-        truth_frames: set = set()
-        for ev in stream.schedule.events_in_horizon(event_type, frame, self.horizon):
-            truth_frames.update(
-                range(frame + ev.start_offset, frame + ev.end_offset + 1)
-            )
-        return truth_frames
-
     # ------------------------------------------------------------------
-    # Engine dispatch (shared with the fleet marshaller)
+    # Engine dispatch (called by the fleet loop; reads ``self.inference``
+    # at call time because a lifecycle swap rebinds it)
     # ------------------------------------------------------------------
     def _engine_forward(
         self,
@@ -416,174 +384,6 @@ class StreamMarshaller:
         if reset is not None:
             reset(keys)
 
-    # ------------------------------------------------------------------
-    # Ingest-guard bookkeeping (shared with the fleet marshaller)
-    # ------------------------------------------------------------------
-    def _guard_bookkeeping(
-        self, guarded: GuardedStream, frame: int, report: "MarshallingReport"
-    ) -> Tuple[int, bool]:
-        """Per-horizon guard accounting; returns ``(health, voided)`` at
-        ``frame`` (the decision point — the end of the collection
-        window).  ``health`` is what the caller routes on; ``voided``
-        flags horizons whose conformal guarantee no longer holds, which
-        stateful engines use as a state-drop trigger (their carried
-        recurrence may have consumed imputed or invalid frames)."""
-        horizon = self.horizon
-        health = guarded.state_at(frame)
-        lo, hi = frame + 1, frame + horizon + 1
-        invalid = guarded.invalid_count(lo, hi)
-        imputed = guarded.imputed_count(lo, hi)
-        report.frames_invalid += invalid
-        report.frames_imputed += imputed
-        report.health_transitions += guarded.transitions_in(lo, hi)
-        window_dirty = (
-            guarded.invalid_count(frame - self.pipeline.window_size + 1, frame + 1)
-            > 0
-        )
-        voided = health != HEALTHY or window_dirty or invalid > 0
-        if voided:
-            # C-CLASSIFY / C-REGRESS coverage is calibrated on clean,
-            # exchangeable windows; none of that holds here.
-            report.guarantee_voided_frames += horizon
-            inc("ingest.guarantee_voided", horizon)
-        if health == QUARANTINED:
-            report.quarantined_frames += horizon
-            inc("stream.health.quarantined_horizons")
-        set_gauge("stream.health.state", health)
-        return health, voided
-
-    def _quarantine_horizon(
-        self,
-        stream: VideoStream,
-        frame: int,
-        service: CloudInferenceService,
-        report: "MarshallingReport",
-        quarantine_policy: str,
-        failure_policy: str,
-        pending: List[_DeferredSegment],
-    ) -> None:
-        """Conservative fallback for a quarantined horizon.
-
-        The model's input is untrustworthy, so no prediction is made:
-        ``"relay-all"`` ships the whole horizon to the CI per event type
-        (spend money, miss nothing), ``"skip"`` relays nothing and the
-        horizon's frames stay accounted under ``quarantined_frames``.
-        """
-        for event_type in self.event_types:
-            truth_frames = self._horizon_truth_frames(stream, frame, event_type)
-            report.true_event_frames += len(truth_frames)
-            if quarantine_policy != "relay-all":
-                continue
-            segment = stream.segment(frame + 1, frame + self.horizon)
-            try:
-                detections = service.detect(segment, event_type)
-            except CIError as exc:
-                if failure_policy == "raise":
-                    raise
-                if failure_policy == "skip":
-                    self._fail_segment(stream, segment, event_type, report, exc)
-                else:
-                    self._defer_segment(
-                        _DeferredSegment(segment, event_type), pending, report
-                    )
-            else:
-                self._credit_success(
-                    stream, segment, event_type, detections, report
-                )
-
-    # ------------------------------------------------------------------
-    # Degraded-mode bookkeeping
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _advance_service_clock(service, seconds: float) -> None:
-        """Tell a resilience-aware service that stream time passed.
-
-        One horizon of the stream takes horizon/fps wall seconds; a
-        circuit breaker waiting out its recovery window needs that time to
-        flow even while it rejects every call.  Plain services ignore it.
-        """
-        advance = getattr(service, "advance_clock", None)
-        if advance is not None:
-            advance(seconds)
-
-    def _fail_segment(
-        self,
-        stream: VideoStream,
-        segment: StreamSegment,
-        event_type: EventType,
-        report: MarshallingReport,
-        error: CIError,
-    ) -> None:
-        """Give up on ``segment``: charge its frames as lost."""
-        report.segments_failed += 1
-        report.frames_lost += segment.num_frames
-        report.lost_event_frames += len(
-            _truth_frames_in(stream, segment, event_type)
-        )
-        inc("marshal.segments_failed")
-        inc("marshal.frames_lost", segment.num_frames)
-        log_info(
-            "marshal.segment_lost",
-            start=segment.start,
-            end=segment.end,
-            event_type=event_type.name,
-            error=type(error).__name__,
-        )
-
-    def _defer_segment(
-        self,
-        item: _DeferredSegment,
-        pending: List[_DeferredSegment],
-        report: MarshallingReport,
-    ) -> None:
-        report.segments_deferred += 1
-        pending.append(item)
-        inc("marshal.segments_deferred")
-
-    def _credit_success(
-        self,
-        stream: VideoStream,
-        segment: StreamSegment,
-        event_type: EventType,
-        detections: List[Detection],
-        report: MarshallingReport,
-    ) -> None:
-        """Accounting for a relay that succeeded outside its home horizon."""
-        report.detections.extend(detections)
-        report.frames_relayed += segment.num_frames
-        covered = set()
-        for det in detections:
-            covered.update(range(det.start, det.end + 1))
-        truth = _truth_frames_in(stream, segment, event_type)
-        report.detected_event_frames += len(covered & truth)
-
-    def _attempt_deferred(
-        self,
-        pending: List[_DeferredSegment],
-        stream: VideoStream,
-        service: CloudInferenceService,
-        report: MarshallingReport,
-        max_deferrals: int,
-    ) -> List[_DeferredSegment]:
-        """One retry round over the deferral queue; returns what remains."""
-        still_pending: List[_DeferredSegment] = []
-        for item in pending:
-            try:
-                detections = service.detect(item.segment, item.event_type)
-            except CIError as exc:
-                if item.deferrals >= max_deferrals:
-                    self._fail_segment(
-                        stream, item.segment, item.event_type, report, exc
-                    )
-                else:
-                    item.deferrals += 1
-                    self._defer_segment(item, still_pending, report)
-            else:
-                self._credit_success(
-                    stream, item.segment, item.event_type, detections, report
-                )
-        return still_pending
-
     def run(
         self,
         stream: VideoStream,
@@ -597,6 +397,11 @@ class StreamMarshaller:
         lifecycle=None,
     ) -> MarshallingReport:
         """Marshal ``stream`` horizon by horizon through ``service``.
+
+        This is a one-lane :meth:`FleetMarshaller.run
+        <repro.fleet.marshaller.FleetMarshaller.run>` with every argument
+        passed through; the report's ``total_cost`` is what the run added
+        to ``service.ledger``.
 
         ``failure_policy`` decides what happens when ``service.detect``
         raises a :class:`~repro.cloud.faults.CIError` (retries, if any,
@@ -621,164 +426,30 @@ class StreamMarshaller:
 
         ``lifecycle``, when given, is a
         :class:`~repro.lifecycle.LifecycleController` (duck-typed: any
-        object with ``maybe_swap`` / ``observe``): staged model swaps are
+        object with ``maybe_swap`` / ``observe_batch``): staged model swaps are
         applied at horizon boundaries — before the window is cut, so a
         fresh version never decides from a stale forward pass — and every
         decided horizon is offered for audit.  A lifecycle that never
         swaps leaves the report byte-identical to a run without one.
         """
-        if features.num_frames != stream.length:
-            raise ValueError("feature matrix length != stream length")
+        # Deferred import: the fleet module builds on this one.
+        from ..fleet.marshaller import FleetLane, FleetMarshaller
+
         if service.stream is not stream:
             raise ValueError("service must be bound to the same stream")
-        if failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {failure_policy!r}"
-            )
-        if max_deferrals < 1:
-            raise ValueError("max_deferrals must be >= 1")
-        guarded: Optional[GuardedStream] = None
-        if guard is not None:
-            guarded = guard.sanitize(features)
-            features = guarded.features
-        report = MarshallingReport()
-        horizon = self.horizon
-        frame = start_frame if start_frame is not None else self.pipeline.min_frame()
-        if frame < self.pipeline.min_frame():
-            raise ValueError("start_frame leaves no room for the collection window")
-
         cost_before = service.ledger.total_cost
-        retries_before = getattr(getattr(service, "stats", None), "retries", 0)
-        pending: List[_DeferredSegment] = []
-        self._engine_reset()  # a fresh run never inherits carried state
-        with span("marshal.run", start_frame=frame, horizon=horizon):
-            while frame + horizon < stream.length:
-                if (
-                    max_horizons is not None
-                    and report.horizons_evaluated >= max_horizons
-                ):
-                    break
-                with span("marshal.horizon", frame=frame):
-                    if pending:
-                        pending = self._attempt_deferred(
-                            pending, stream, service, report, max_deferrals
-                        )
-                    if is_enabled():
-                        # Backpressure: how much deferred work is queued
-                        # in front of this horizon.
-                        set_gauge("marshal.backlog.segments", len(pending))
-                        set_gauge(
-                            "marshal.backlog.frames",
-                            sum(d.segment.num_frames for d in pending),
-                        )
-                    if guarded is not None:
-                        health, voided = self._guard_bookkeeping(
-                            guarded, frame, report
-                        )
-                        if voided:
-                            # Carried recurrence state may include imputed
-                            # or invalid frames — drop it; the engine
-                            # warms up from the next full window.
-                            self._engine_reset([stream.name])
-                        if health == QUARANTINED:
-                            # Model input is untrustworthy: skip the
-                            # forward pass, fall back conservatively.
-                            self._quarantine_horizon(
-                                stream,
-                                frame,
-                                service,
-                                report,
-                                guard.quarantine_policy,
-                                failure_policy,
-                                pending,
-                            )
-                            report.horizons_evaluated += 1
-                            report.frames_covered += horizon
-                            frame += horizon
-                            self._advance_service_clock(
-                                service, horizon / stream.fps
-                            )
-                            continue
-                    if lifecycle is not None:
-                        lifecycle.maybe_swap(
-                            report, tick=report.horizons_evaluated
-                        )
-                    window = self.pipeline.covariates_at(features, frame)
-                    output = self._engine_forward(
-                        window[None], [stream.name], [frame]
-                    )
-                    exists, segments = self._decide(output)
-                    if lifecycle is not None:
-                        lifecycle.observe(
-                            stream,
-                            frame,
-                            window,
-                            output,
-                            exists,
-                            tick=report.horizons_evaluated,
-                        )
-
-                    for k, event_type in enumerate(self.event_types):
-                        # Ground truth within this horizon, for recall
-                        # accounting.
-                        truth_frames = self._horizon_truth_frames(
-                            stream, frame, event_type
-                        )
-                        report.true_event_frames += len(truth_frames)
-
-                        covered = set()
-                        for start_offset, end_offset in segments[0][k]:
-                            segment = stream.segment(
-                                frame + start_offset, frame + end_offset
-                            )
-                            try:
-                                detections = service.detect(segment, event_type)
-                            except CIError as exc:
-                                if failure_policy == "raise":
-                                    raise
-                                if failure_policy == "skip":
-                                    self._fail_segment(
-                                        stream, segment, event_type, report, exc
-                                    )
-                                else:
-                                    self._defer_segment(
-                                        _DeferredSegment(segment, event_type),
-                                        pending,
-                                        report,
-                                    )
-                                continue
-                            report.detections.extend(detections)
-                            report.frames_relayed += segment.num_frames
-                            for det in detections:
-                                covered.update(range(det.start, det.end + 1))
-                        report.detected_event_frames += len(covered & truth_frames)
-
-                    report.horizons_evaluated += 1
-                    report.frames_covered += horizon
-                    frame += horizon
-                self._advance_service_clock(service, horizon / stream.fps)
-
-            if pending:
-                # Stream exhausted with relays still queued: drain in
-                # bounded rounds (each failure consumes a deferral).
-                with span("marshal.drain", pending=len(pending)):
-                    while pending:
-                        pending = self._attempt_deferred(
-                            pending, stream, service, report, max_deferrals
-                        )
-                        self._advance_service_clock(service, horizon / stream.fps)
-
-        report.total_cost = service.ledger.total_cost - cost_before
-        report.retries = (
-            getattr(getattr(service, "stats", None), "retries", 0) - retries_before
+        fleet = FleetMarshaller(self).run(
+            [FleetLane(stream, features)],
+            service,
+            start_frame=start_frame,
+            max_horizons=max_horizons,
+            failure_policy=failure_policy,
+            max_deferrals=max_deferrals,
+            guard=guard,
+            lifecycle=lifecycle,
         )
-        inc("marshal.horizons", report.horizons_evaluated)
-        inc("marshal.frames_covered", report.frames_covered)
-        inc("marshal.frames_relayed", report.frames_relayed)
-        inc("marshal.cost", report.total_cost)
-        inc("stage.frames_covered", report.frames_covered)
-        inc("stage.frames_featurized", report.frames_covered)
-        inc("stage.predictions", report.horizons_evaluated)
-        inc("stage.frames_relayed", report.frames_relayed)
+        report = fleet.per_stream[stream.name]
+        # The lane's shadow ledger bills from zero; on a reused service
+        # the run's cost is what it added to the real ledger.
+        report.total_cost = service.ledger.total_cost - cost_before
         return report

@@ -145,6 +145,25 @@ class CloudInferenceService:
         self.ledger.reset()
         self._simulated_seconds = 0.0
 
+    def has_stream(self, stream: VideoStream) -> bool:
+        """Whether ``detect`` can answer for exactly this stream object."""
+        return stream is self.stream
+
+    def activate(self, stream: VideoStream) -> "CloudInferenceService":
+        """Make ``stream`` the one subsequent ``detect`` calls answer for.
+
+        Ledger, pricing state, and the simulated clock are untouched —
+        only the ground-truth source switches (a no-op for a one-stream
+        service).  The fleet loop calls this before every relay.  Returns
+        ``self`` for chaining.
+        """
+        if not self.has_stream(stream):
+            raise ValueError(
+                f"stream {stream.name!r} is not registered with this service"
+            )
+        self.stream = stream
+        return self
+
     # ------------------------------------------------------------------
     def detect(
         self, segment: StreamSegment, event_type: EventType

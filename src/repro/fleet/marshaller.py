@@ -1,51 +1,57 @@
 """Marshal a fleet of streams through one shared CI account.
 
-The sequential :class:`~repro.cloud.marshaller.StreamMarshaller` serves one
-stream with a private service.  Deployments watch *many* cameras, and the
-two expensive resources — the EventHit forward pass and the CI account —
-are both batchable:
+This module holds the one runtime loop of Fig. 1.  Deployments watch
+*many* cameras, and the two expensive resources — the EventHit forward
+pass and the CI account — are both batchable:
 
 * **Inference** — every tick, all active lanes' collection windows are
   stacked into one ``(num_streams, window, features)`` tensor and pushed
   through a single :class:`~repro.core.batched.BatchedInference` call.
   Because the engine is batch-size invariant, each lane's scores are
-  bitwise what a solo run would compute.
+  bitwise what a one-lane run would compute.
 * **Relaying** — the segments every lane wants relayed enter a shared
   pool; a pluggable :class:`~repro.fleet.scheduler.FleetScheduler` orders
   the pool and the fleet flushes it to the shared CI under a global
   per-tick frame budget.  What the budget cuts off rolls into the next
   tick's pool.
 
+Failure policy, deferral, guard triage, quarantine fallback, lifecycle
+swaps and engine resets all live here.  The single-stream
+:meth:`StreamMarshaller.run <repro.cloud.marshaller.StreamMarshaller.run>`
+is a one-lane run of this loop over the stream's own service.
+
 Equivalence contract
 --------------------
 With the ``round-robin`` scheduler, no budget, and a fault-free service,
 ``FleetMarshaller.run`` produces **byte-identical** per-stream
-:class:`~repro.cloud.marshaller.MarshallingReport` dicts to N sequential
-``StreamMarshaller.run`` calls over private services: round-robin keeps
-each lane's relay order FIFO, and per-lane costs are attributed by
-replaying the pricing model against a per-lane *shadow ledger* (so a
-lane's ``total_cost`` is what its private account would have billed, even
-though the shared ledger pools the frames).  ``tests/fleet`` pins this.
+:class:`~repro.cloud.marshaller.MarshallingReport` dicts to N
+``StreamMarshaller.run`` calls (N one-lane runs) over private services:
+round-robin keeps each lane's relay order FIFO, and per-lane costs are
+attributed by replaying the pricing model against a per-lane *shadow
+ledger* (so a lane's ``total_cost`` is what its private account would
+have billed, even though the shared ledger pools the frames).
+``tests/fleet`` pins this, and ``tests/cloud`` pins the one-lane run
+against an independent copy of the original sequential loop.
 
 With a budget or a different scheduler, the fleet trades that exact
 equivalence for throughput/QoS control: relays may land ticks later (the
 CI clock differs), but no relay is ever dropped by scheduling — only the
-failure policy can drop work, exactly as in the sequential loop.
+failure policy can drop work.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cloud.faults import CIError
 from ..cloud.marshaller import FAILURE_POLICIES, MarshallingReport, StreamMarshaller
-from ..cloud.service import UsageLedger
+from ..cloud.service import Detection, UsageLedger
 from ..features.extractors import FeatureMatrix
-from ..ingest.guard import HEALTH_STATES, QUARANTINED, GuardedStream, StreamGuard
+from ..ingest.guard import HEALTH_STATES, HEALTHY, QUARANTINED, GuardedStream, StreamGuard
 from ..obs import (
     get_flight_recorder,
     inc,
@@ -57,7 +63,8 @@ from ..obs import (
     span,
     update_slos,
 )
-from ..video.stream import VideoStream
+from ..video.events import EventType
+from ..video.stream import StreamSegment, VideoStream
 from .scheduler import (
     FleetScheduler,
     RelayRequest,
@@ -74,6 +81,95 @@ __all__ = ["FleetLane", "FleetReport", "FleetMarshaller", "LANE_MODES"]
 #: through the shared pool (the quarantine fallback machinery), so load
 #: shedding degrades coverage *quality* (cost) but never drops frames.
 LANE_MODES = ("serve", "relay-all")
+
+
+def _truth_frames_in(
+    stream: VideoStream, segment: StreamSegment, event_type: EventType
+) -> set:
+    """Ground-truth event frames of ``event_type`` inside ``segment``."""
+    frames: set = set()
+    for instance in stream.schedule.instances_of(event_type):
+        if instance.overlaps(segment.start, segment.end):
+            frames.update(
+                range(
+                    max(instance.start, segment.start),
+                    min(instance.end, segment.end) + 1,
+                )
+            )
+    return frames
+
+
+def _horizon_truth_frames(
+    stream: VideoStream, frame: int, horizon: int, event_type: EventType
+) -> set:
+    """Absolute ground-truth frames of ``event_type`` in the horizon
+    starting at ``frame`` (recall accounting)."""
+    truth_frames: set = set()
+    for ev in stream.schedule.events_in_horizon(event_type, frame, horizon):
+        truth_frames.update(
+            range(frame + ev.start_offset, frame + ev.end_offset + 1)
+        )
+    return truth_frames
+
+
+def _advance_service_clock(service, seconds: float) -> None:
+    """Tell a resilience-aware service that stream time passed.
+
+    One horizon of the stream takes horizon/fps wall seconds; a circuit
+    breaker waiting out its recovery window needs that time to flow even
+    while it rejects every call.  Plain services ignore it.
+    """
+    advance = getattr(service, "advance_clock", None)
+    if advance is not None:
+        advance(seconds)
+
+
+def _fail_segment(
+    stream: VideoStream,
+    segment: StreamSegment,
+    event_type: EventType,
+    report: MarshallingReport,
+    error: CIError,
+) -> None:
+    """Give up on ``segment``: charge its frames as lost."""
+    report.segments_failed += 1
+    report.frames_lost += segment.num_frames
+    report.lost_event_frames += len(_truth_frames_in(stream, segment, event_type))
+    inc("marshal.segments_failed")
+    inc("marshal.frames_lost", segment.num_frames)
+    log_info(
+        "marshal.segment_lost",
+        start=segment.start,
+        end=segment.end,
+        event_type=event_type.name,
+        error=type(error).__name__,
+    )
+
+
+def _defer_segment(
+    request: RelayRequest, backlog: List[RelayRequest], report: MarshallingReport
+) -> None:
+    """Queue a failed relay for the next tick's pool."""
+    report.segments_deferred += 1
+    backlog.append(request)
+    inc("marshal.segments_deferred")
+
+
+def _credit_success(
+    stream: VideoStream,
+    segment: StreamSegment,
+    event_type: EventType,
+    detections: List[Detection],
+    report: MarshallingReport,
+) -> None:
+    """Accounting for a relay the CI answered."""
+    report.detections.extend(detections)
+    report.frames_relayed += segment.num_frames
+    covered = set()
+    for det in detections:
+        covered.update(range(det.start, det.end + 1))
+    truth = _truth_frames_in(stream, segment, event_type)
+    report.detected_event_frames += len(covered & truth)
 
 
 @dataclass
@@ -301,6 +397,39 @@ class FleetMarshaller:
             return False
         return True
 
+    def _guard_bookkeeping(
+        self, guarded: GuardedStream, frame: int, report: MarshallingReport
+    ) -> Tuple[int, bool]:
+        """Per-horizon guard accounting; returns ``(health, voided)`` at
+        ``frame`` (the decision point — the end of the collection
+        window).  ``health`` is what the caller routes on; ``voided``
+        flags horizons whose conformal guarantee no longer holds, which
+        stateful engines use as a state-drop trigger (their carried
+        recurrence may have consumed imputed or invalid frames)."""
+        m = self.marshaller
+        horizon = m.horizon
+        health = guarded.state_at(frame)
+        lo, hi = frame + 1, frame + horizon + 1
+        invalid = guarded.invalid_count(lo, hi)
+        report.frames_invalid += invalid
+        report.frames_imputed += guarded.imputed_count(lo, hi)
+        report.health_transitions += guarded.transitions_in(lo, hi)
+        window_dirty = (
+            guarded.invalid_count(frame - m.pipeline.window_size + 1, frame + 1)
+            > 0
+        )
+        voided = health != HEALTHY or window_dirty or invalid > 0
+        if voided:
+            # C-CLASSIFY / C-REGRESS coverage is calibrated on clean,
+            # exchangeable windows; none of that holds here.
+            report.guarantee_voided_frames += horizon
+            inc("ingest.guarantee_voided", horizon)
+        if health == QUARANTINED:
+            report.quarantined_frames += horizon
+            inc("stream.health.quarantined_horizons")
+        set_gauge("stream.health.state", health)
+        return health, voided
+
     def _decide_tick(
         self, active: List[_LaneState], tick: int, lifecycle=None
     ) -> List[RelayRequest]:
@@ -319,8 +448,8 @@ class FleetMarshaller:
         )
         observe("fleet.batch_size", len(active))
         # One batch-native decision pass for every lane: row i of the
-        # batched output (and its segments) is bitwise the lane's solo
-        # prediction, so this reproduces the sequential decisions.
+        # batched output (and its segments) is bitwise the lane's
+        # one-lane prediction, so this reproduces the one-lane decisions.
         exists_rows, segments_rows = m._decide(output)
         if lifecycle is not None:
             # Offer the decided tick for audit before frames advance;
@@ -336,8 +465,8 @@ class FleetMarshaller:
         for i, state in enumerate(active):
             segments = segments_rows[i]
             for k, event_type in enumerate(m.event_types):
-                truth_frames = m._horizon_truth_frames(
-                    state.stream, state.frame, event_type
+                truth_frames = _horizon_truth_frames(
+                    state.stream, state.frame, m.horizon, event_type
                 )
                 state.report.true_event_frames += len(truth_frames)
                 for start_offset, end_offset in segments[k]:
@@ -369,8 +498,8 @@ class FleetMarshaller:
         m = self.marshaller
         requests: List[RelayRequest] = []
         for event_type in m.event_types:
-            truth_frames = m._horizon_truth_frames(
-                state.stream, state.frame, event_type
+            truth_frames = _horizon_truth_frames(
+                state.stream, state.frame, m.horizon, event_type
             )
             state.report.true_event_frames += len(truth_frames)
             if quarantine_policy != "relay-all":
@@ -454,7 +583,6 @@ class FleetMarshaller:
     ) -> None:
         """Relay one scheduled segment to the shared CI, attributing its
         billing to the lane's shadow ledger."""
-        m = self.marshaller
         activate(state.stream)
         ledger = service.ledger
         frames_before = ledger.frames_processed
@@ -468,7 +596,7 @@ class FleetMarshaller:
                 if failure_policy == "raise":
                     raise
                 if failure_policy == "skip" or request.deferrals >= max_deferrals:
-                    m._fail_segment(
+                    _fail_segment(
                         state.stream,
                         request.segment,
                         request.event_type,
@@ -477,9 +605,9 @@ class FleetMarshaller:
                     )
                 else:
                     request.deferrals += 1
-                    m._defer_segment(request, backlog, state.report)
+                    _defer_segment(request, backlog, state.report)
             else:
-                m._credit_success(
+                _credit_success(
                     state.stream,
                     request.segment,
                     request.event_type,
@@ -495,17 +623,13 @@ class FleetMarshaller:
             billed_frames = ledger.frames_processed - frames_before
             billed_requests = ledger.requests - requests_before
             if billed_frames > 0 or billed_requests > 0:
-                pricing = self._pricing(service)
+                pricing = service.pricing
                 cost = pricing.cost(
                     state.shadow.frames_processed + billed_frames
                 ) - pricing.cost(state.shadow.frames_processed)
                 state.shadow.charge(
                     request.event_type.name, billed_frames, cost
                 )
-
-    @staticmethod
-    def _pricing(service):
-        return service.pricing
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -797,7 +921,7 @@ class FleetMarshaller:
                         # batched forward and fall back conservatively.
                         predicting = []
                         for state in serving:
-                            health, voided = m._guard_bookkeeping(
+                            health, voided = self._guard_bookkeeping(
                                 state.guarded, state.frame, state.report
                             )
                             if voided:
@@ -862,7 +986,7 @@ class FleetMarshaller:
                         )
                         report.relays_flushed += 1
                         spent += request.frames
-                    m._advance_service_clock(service, m.horizon / fps)
+                    _advance_service_clock(service, m.horizon / fps)
                 report.ticks += 1
                 if telemetry:
                     self._tick_telemetry(

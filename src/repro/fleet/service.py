@@ -4,8 +4,10 @@ One :class:`FleetCIService` is one billing account: a single
 :class:`~repro.cloud.service.UsageLedger`, one pricing model, and one
 simulated-processing clock, shared by every registered stream.  The fleet
 marshaller switches which stream a relay is answered against with
-:meth:`activate` before each ``detect`` call — the per-call cost of
-multiplexing, instead of paying for N private service instances.
+:meth:`~repro.cloud.service.CloudInferenceService.activate` before each
+``detect`` call — the per-call cost of multiplexing, instead of paying
+for N private service instances.  ``activate`` accepts any stream
+:meth:`has_stream` reports as registered.
 
 The service subclasses :class:`~repro.cloud.service.CloudInferenceService`,
 so the whole resilience stack composes unchanged: wrap it in a
@@ -68,18 +70,3 @@ class FleetCIService(CloudInferenceService):
     def has_stream(self, stream: VideoStream) -> bool:
         """Whether exactly this stream object is registered."""
         return self._registry.get(stream.name) is stream
-
-    def activate(self, stream: VideoStream) -> "FleetCIService":
-        """Make ``stream`` the one subsequent ``detect`` calls answer for.
-
-        Ledger, pricing state, and the simulated clock are untouched —
-        only the ground-truth source switches.  Returns ``self`` for
-        chaining.
-        """
-        if not self.has_stream(stream):
-            raise ValueError(
-                f"stream {stream.name!r} is not registered with this fleet "
-                "service"
-            )
-        self.stream = stream
-        return self

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloud import CloudInferenceService, StreamMarshaller
+from repro.cloud.pricing import TieredPricing
 from repro.conformal import ConformalClassifier, ConformalRegressor
 from repro.core import EventHitConfig, train_eventhit
 from repro.data import build_experiment_data
@@ -124,6 +125,30 @@ class TestMarshaller:
         with pytest.raises(ValueError):
             marshaller.run(data.test_stream, data.test_features, service)
 
+    def test_reused_service_reports_ledger_delta_under_tiered_pricing(self, setup):
+        """``total_cost`` is what the run added to the service ledger, not
+        a replay of the run's frames from an empty account: the second run
+        on one service is billed entirely at the discounted tier."""
+        spec, data, model, pipeline = setup
+        service = CloudInferenceService(
+            data.test_stream, pricing=TieredPricing(((0, 0.002), (300, 0.0005)))
+        )
+        # Zero thresholds relay every horizon in full: 3 x 200 frames a run.
+        marshaller = StreamMarshaller(
+            model, data.event_types, pipeline, tau1=0.0, tau2=0.0
+        )
+        costs = []
+        for _ in range(2):
+            before = service.ledger.total_cost
+            report = marshaller.run(
+                data.test_stream, data.test_features, service, max_horizons=3
+            )
+            assert report.frames_relayed == 3 * spec.horizon
+            assert report.total_cost == service.ledger.total_cost - before
+            costs.append(report.total_cost)
+        assert costs[0] == pytest.approx(300 * 0.002 + 300 * 0.0005)
+        assert costs[1] == pytest.approx(600 * 0.0005)
+
     def test_start_frame_validation(self, setup):
         spec, data, model, pipeline = setup
         service = CloudInferenceService(data.test_stream)
@@ -173,13 +198,15 @@ class TestMarshallerObservability:
                 snap["histograms"]["ci.call_seconds"]["count"]
                 == service.ledger.requests
             )
+        # A single-stream run is a one-lane fleet run: one run span, and
+        # (fault-free, so no drain ticks) one tick span per horizon.
         names = [r.name for r in obs.get_tracer().records]
-        assert names.count("marshal.run") == 1
-        assert names.count("marshal.horizon") == report.horizons_evaluated
-        horizon_spans = [
-            r for r in obs.get_tracer().records if r.name == "marshal.horizon"
+        assert names.count("fleet.run") == 1
+        assert names.count("fleet.tick") == report.horizons_evaluated
+        tick_spans = [
+            r for r in obs.get_tracer().records if r.name == "fleet.tick"
         ]
-        assert all(r.parent == "marshal.run" for r in horizon_spans)
+        assert all(r.parent == "fleet.run" for r in tick_spans)
 
     def test_widening_counter_counts_conformal_regress_use(self, setup):
         from repro import obs

@@ -7,6 +7,7 @@ per-stream reports must serialize **byte-identically** to N sequential
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -265,10 +266,19 @@ class TestObservability:
 
 class TestValidation:
     def test_service_without_activate_rejected(self, setup):
+        # A duck-typed service stack with no activate() anywhere in it.
+        spec, data, marshaller, lanes = setup
+        bare = SimpleNamespace(stream=lanes[0].stream)
+        with pytest.raises(TypeError, match="activate"):
+            FleetMarshaller(marshaller).run(lanes[:1], bare, max_horizons=1)
+
+    def test_plain_service_rejects_other_lanes(self, setup):
+        # A one-stream service answers for its own stream only: it backs a
+        # one-lane run, but every other lane is unregistered.
         spec, data, marshaller, lanes = setup
         plain = CloudInferenceService(lanes[0].stream)
-        with pytest.raises(TypeError, match="activate"):
-            FleetMarshaller(marshaller).run(lanes[:1], plain, max_horizons=1)
+        with pytest.raises(ValueError, match="not registered"):
+            FleetMarshaller(marshaller).run(lanes[:2], plain, max_horizons=1)
 
     def test_unregistered_lane_rejected(self, setup):
         spec, data, marshaller, lanes = setup

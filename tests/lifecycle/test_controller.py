@@ -143,7 +143,7 @@ class TestSwap:
         controller = make_controller(marshaller, tmp_path)
         report = MarshallingReport()
         model_before = marshaller.model
-        assert controller.maybe_swap(report) is False
+        assert controller.maybe_swap([report]) is False
         assert report.model_swaps == 0
         assert marshaller.model is model_before
 
