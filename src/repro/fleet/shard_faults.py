@@ -21,9 +21,9 @@ Determinism rules (the supervisor's replay contract depends on them):
   heartbeats and checkpoints a doomed attempt emits before dying is a
   pure function of the plan.
 * Hangs and stalls are implemented by blocking on the worker's command
-  pipe (the coordinator never sends, so the worker wedges until the
-  supervisor kills it) — no ``time.sleep`` anywhere, so nothing depends
-  on scheduler timing.
+  pipe (the coordinator sends nothing after the payload, so the worker
+  wedges until the supervisor kills it) — no ``time.sleep`` anywhere, so
+  nothing depends on scheduler timing.
 
 :meth:`ShardFaultPlan.seeded` draws a reproducible schedule from a
 seeded RNG, mirroring :meth:`repro.cloud.faults.FaultPlan.uniform`.
@@ -229,8 +229,10 @@ class ShardFaultInjector:
     The worker calls :meth:`at_startup` before sending its hello and
     :meth:`on_tick` from its heartbeat hook with the worker-global tick
     counter; :meth:`suppress_heartbeat` implements the ``slow`` kind.
-    A wedge (``stall`` / ``startup_hang``) blocks on ``conn.recv()`` —
-    the coordinator never sends on that pipe, so the worker hangs
+    A wedge (``stall`` / ``startup_hang``) blocks on ``conn.recv()``.
+    The coordinator sends a worker exactly one payload, before hello and
+    only to non-``fork`` workers; the injector exists only once that
+    payload is in, and nothing else is ever sent, so the worker hangs
     deterministically until the supervisor kills it.
     """
 
@@ -245,7 +247,7 @@ class ShardFaultInjector:
 
     # ------------------------------------------------------------------
     def _wedge(self) -> None:
-        """Block until killed (the coordinator never sends to workers)."""
+        """Block until killed (nothing is sent to a worker after its payload)."""
         try:
             self.conn.recv()
         except (EOFError, OSError):

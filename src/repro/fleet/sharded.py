@@ -28,8 +28,13 @@ the results exactly:
   (:meth:`~repro.obs.MetricsRegistry.merge_from`), renaming each shard's
   fleet pseudo-lane so flight rings never collide.
 
-Worker processes communicate over one duplex pipe each: a hello message
-on startup (the spawn deadline's signal), heartbeat messages per tick
+Worker processes communicate over one duplex pipe each.  A worker
+started by ``spawn``/``forkserver`` first receives its payload on it
+(the coordinator streams it from a short-lived thread, numpy arrays as
+out-of-band protocol-5 buffers, so every worker imports in parallel and
+the coordinator never holds a pickled copy); a ``fork`` worker inherits
+it instead.  Workers then send a hello message (the start-up deadline's
+signal, so it covers the payload transfer), heartbeat messages per tick
 (the coordinator's liveness/progress signal), periodic self-checksummed
 :class:`~repro.fleet.supervisor.ShardCheckpoint` snapshots when
 supervision is on, and a single :class:`ShardResult` at the end.
@@ -61,6 +66,8 @@ recorder and merged home.
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -443,21 +450,64 @@ def _run_shard(conn, shard_index: int, payload: Dict,
         )
     return _execute_shard(shard_index, payload, on_tick=heartbeat, probe=probe)
 
-def _shard_worker(conn, shard_index: int, payload: Dict) -> None:
+def _pickle_payload(payload: Dict) -> Tuple[bytes, List[pickle.PickleBuffer]]:
+    """Pickle a worker payload with every numpy array out of band.
+
+    Returns the small in-band head and one zero-copy
+    :class:`pickle.PickleBuffer` view per array, so the coordinator never
+    holds a pickled copy of the lanes' feature matrices.
+    """
+    buffers: List[pickle.PickleBuffer] = []
+    head = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
+    return head, buffers
+
+def _send_payload(conn, head: bytes, buffers) -> None:
+    """Stream a pickled payload: head plus buffer sizes, then each buffer.
+
+    Runs on a short-lived coordinator thread per worker.  A worker that
+    dies mid-transfer breaks the pipe; the coordinator loop sees that as
+    the worker's pipe EOF, so the write error is dropped here.
+    """
+    raws = [buffer.raw() for buffer in buffers]
+    try:
+        conn.send((head, [raw.nbytes for raw in raws]))
+        for raw in raws:
+            conn.send_bytes(raw)
+    except OSError:
+        pass
+
+def _recv_payload(conn) -> Dict:
+    """Receive what :func:`_send_payload` streamed and rebuild the payload.
+
+    Each buffer lands in its own ``bytearray``, so the rebuilt arrays are
+    writable, exactly like arrays a ``fork`` worker inherits.
+    """
+    head, sizes = conn.recv()
+    buffers = [bytearray(size) for size in sizes]
+    for buffer in buffers:
+        conn.recv_bytes_into(buffer)
+    return pickle.loads(head, buffers=buffers)
+
+def _shard_worker(conn, shard_index: int, payload: Optional[Dict] = None) -> None:
     """Process entry point (module-level, so ``spawn`` can pickle it).
 
-    Protocol, in order: an armed startup fault fires first (a hung
-    import never says hello), then ``("hello", shard, attempt)``, then
-    per-tick ``("tick", shard, tick)`` heartbeats interleaved with
-    ``("ckpt", shard, checkpoint)`` snapshots, then exactly one of
-    ``("done", shard, ShardResult)`` or ``("error", shard, traceback)``.
-    A SIGKILLed worker sends nothing further — the coordinator sees a
-    bare pipe EOF.
+    Protocol, in order: a ``fork`` worker inherits ``payload``; any other
+    worker starts with ``payload=None`` and first receives exactly one
+    payload from the coordinator (:func:`_recv_payload`).  Then an armed
+    startup fault fires (a hung start-up never says hello), then
+    ``("hello", shard, attempt)``, then per-tick ``("tick", shard,
+    tick)`` heartbeats interleaved with ``("ckpt", shard, checkpoint)``
+    snapshots, then exactly one of ``("done", shard, ShardResult)`` or
+    ``("error", shard, traceback)`` — a payload that fails to unpickle
+    sends the error at once.  A SIGKILLed worker sends nothing further —
+    the coordinator sees a bare pipe EOF.
     """
-    attempt = payload.get("attempt", 0)
     injector = None
-    plan: Optional[ShardFaultPlan] = payload.get("fault_plan")
     try:
+        if payload is None:
+            payload = _recv_payload(conn)
+        attempt = payload.get("attempt", 0)
+        plan: Optional[ShardFaultPlan] = payload.get("fault_plan")
         if plan is not None:
             injector = ShardFaultInjector(plan, shard_index, attempt, conn)
             injector.at_startup()
@@ -504,9 +554,10 @@ class ShardedFleetMarshaller:
         shard's live registry).
     start_method:
         ``multiprocessing`` start method (``"fork"``/``"spawn"``/
-        ``None`` = platform default).  Everything a worker needs is
-        pickled, so ``spawn`` works everywhere; the CI runs a spawn
-        smoke test to keep it that way.
+        ``None`` = platform default).  A ``fork`` worker inherits its
+        payload; any other worker starts at once and receives it over
+        its pipe, arrays out of band (see :meth:`_spawn`), so ``spawn``
+        works everywhere; the CI runs spawn smoke tests to keep it so.
     heartbeat_every:
         Stream a liveness heartbeat every N worker ticks.
     supervisor:
@@ -663,21 +714,61 @@ class ShardedFleetMarshaller:
         }
 
     def _spawn(self, context, index: int, payload: Dict):
+        """Start one worker; return ``(process, conn, sender)``.
+
+        A ``fork`` worker inherits ``payload`` through its arguments, so
+        nothing is pickled and ``sender`` is ``None``.  Under any other
+        start method the worker starts with only its pipe and index —
+        ``start()`` returns without waiting on the child's imports, so
+        every shard starts in parallel — and ``sender`` is a thread
+        streaming the payload's arrays out of band.  The payload is
+        pickled before any child exists, so an unpicklable payload
+        raises here and leaves nothing behind.
+        """
+        inherit = context.get_start_method() == "fork"
+        if not inherit:
+            head, buffers = _pickle_payload(payload)
         parent_conn, child_conn = context.Pipe()
         process = context.Process(
             target=_shard_worker,
-            args=(child_conn, index, payload),
+            args=(child_conn, index, payload) if inherit else (child_conn, index),
             daemon=True,
         )
         process.start()
         child_conn.close()  # the worker owns its end now
-        return process, parent_conn
+        sender = None
+        if not inherit:
+            sender = threading.Thread(
+                target=_send_payload,
+                args=(parent_conn, head, buffers),
+                name=f"shard-payload-{index}",
+                daemon=True,
+            )
+            sender.start()
+        return process, parent_conn, sender
 
     @staticmethod
-    def _reap(processes, conns) -> None:
+    def _close(conn, senders) -> None:
+        """Close a worker pipe, first joining its payload sender (popped
+        from ``senders``, which maps each open pipe to its thread or
+        ``None``): the sender must never write to a closed, possibly
+        reused, descriptor.  Call it only once the worker has exited,
+        closed its end or sent a message — the sender has then finished
+        or fails at once on the broken pipe."""
+        sender = senders.pop(conn, None)
+        if sender is not None:
+            sender.join()
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+    @classmethod
+    def _reap(cls, processes, conns, senders) -> None:
         """Terminate, join, and close everything — every exit path ends
-        here, so a failed or interrupted run never leaks children or
-        pipe fds (and a wedged worker cannot outlive the coordinator)."""
+        here, so a failed or interrupted run never leaks children,
+        payload sender threads or pipe fds (and a wedged worker cannot
+        outlive the coordinator)."""
         for process in processes:
             if process.is_alive():
                 process.terminate()
@@ -687,10 +778,7 @@ class ShardedFleetMarshaller:
                 process.kill()
                 process.join(timeout=5.0)
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            cls._close(conn, senders)
 
     # ------------------------------------------------------------------
     # Unsupervised coordinator loop (fail-fast, leak-free)
@@ -700,6 +788,7 @@ class ShardedFleetMarshaller:
     ) -> Tuple[Dict[int, ShardResult], int]:
         processes: List = []
         pending: Dict[object, int] = {}
+        senders: Dict[object, Optional[threading.Thread]] = {}
         results: Dict[int, ShardResult] = {}
         errors: Dict[int, str] = {}
         heartbeats = 0
@@ -707,9 +796,10 @@ class ShardedFleetMarshaller:
         try:
             for index, shard in enumerate(shards):
                 payload = self._payload(shard, run_kwargs, telemetry, 0)
-                process, conn = self._spawn(context, index, payload)
+                process, conn, sender = self._spawn(context, index, payload)
                 processes.append(process)
                 pending[conn] = index
+                senders[conn] = sender
             deadline = (
                 time.monotonic() + self.startup_timeout
                 if self.startup_timeout is not None else None
@@ -738,7 +828,7 @@ class ShardedFleetMarshaller:
                         message = conn.recv()
                     except (EOFError, OSError):
                         index = pending.pop(conn)
-                        conn.close()
+                        self._close(conn, senders)
                         hello_pending.discard(index)
                         if index not in results and index not in errors:
                             errors[index] = (
@@ -770,7 +860,7 @@ class ShardedFleetMarshaller:
             for process in processes:
                 process.join()
         finally:
-            self._reap(processes, list(pending))
+            self._reap(processes, list(pending), senders)
         return results, heartbeats
 
     # ------------------------------------------------------------------
@@ -784,6 +874,7 @@ class ShardedFleetMarshaller:
         supervisor = ShardSupervisor(config, len(shards))
         processes: Dict[int, object] = {}
         conns: Dict[object, int] = {}
+        senders: Dict[object, Optional[threading.Thread]] = {}
         results: Dict[int, ShardResult] = {}
         # Heartbeats of the attempt currently running / of the attempt
         # that completed — only the latter reach the merged report, so a
@@ -800,9 +891,10 @@ class ShardedFleetMarshaller:
             payload = self._payload(
                 shards[index], run_kwargs, telemetry, attempt
             )
-            process, conn = self._spawn(context, index, payload)
+            process, conn, sender = self._spawn(context, index, payload)
             processes[index] = process
             conns[conn] = index
+            senders[conn] = sender
             hb_current[index] = 0
             supervisor.register_spawn(index, attempt, time.monotonic())
             notify(index, "STARTING", f"attempt {attempt}")
@@ -815,10 +907,7 @@ class ShardedFleetMarshaller:
             for conn, owner in list(conns.items()):
                 if owner == index:
                     del conns[conn]
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
+                    self._close(conn, senders)
 
         def handle_death(index: int, reason: str) -> None:
             supervisor.on_death(index, time.monotonic(), reason)
@@ -846,10 +935,7 @@ class ShardedFleetMarshaller:
                         message = conn.recv()
                     except (EOFError, OSError):
                         del conns[conn]
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
+                        self._close(conn, senders)
                         if index not in results:
                             kill_worker(index)
                             handle_death(
@@ -899,7 +985,7 @@ class ShardedFleetMarshaller:
                         kill_worker(index)
                         handle_death(index, what.replace("-", " "))
         finally:
-            self._reap(list(processes.values()), list(conns))
+            self._reap(list(processes.values()), list(conns), senders)
 
         # Escalation: shards whose restart budget ran out re-run their
         # lanes in the coordinator — exactly ("rescue") or through the

@@ -179,7 +179,7 @@ class SupervisorConfig:
 
     ``suspect_after`` / ``dead_after`` are seconds since the last
     heartbeat (monotonic, coordinator-side); ``startup_deadline`` bounds
-    spawn → hello.  ``max_restarts`` is per shard; ``escalation``
+    spawn → hello, which under ``spawn`` includes the payload transfer.  ``max_restarts`` is per shard; ``escalation``
     chooses what happens when a shard exhausts it: ``"rescue"`` re-runs
     the orphaned lanes in the coordinator with the shard's own seeded
     factory (byte-identical output), ``"degrade"`` re-runs them in the

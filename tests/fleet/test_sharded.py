@@ -10,12 +10,17 @@ The load-bearing pins:
   ``total_cost`` is equality-comparable);
 * shard workers are genuinely isolated: fresh obs registries per worker
   merge home without double counting, and the ``spawn`` start method
-  (nothing inherited, everything pickled) produces the same bytes.
+  (nothing inherited; the payload streamed to each worker with its
+  arrays out of band) produces the same bytes.
 """
 
 import json
+import multiprocessing
 import pickle
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.cloud import (
@@ -36,10 +41,12 @@ from repro.fleet import (
     FleetMarshaller,
     PlainServiceFactory,
     ShardedFleetMarshaller,
+    SupervisorConfig,
     contiguous_partition,
     make_partition,
     striped_partition,
 )
+from repro.fleet.sharded import _pickle_payload, _recv_payload, _send_payload
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -66,6 +73,9 @@ CONFIG = EventHitConfig(
 
 NUM_LANES = 6
 MAX_HORIZONS = 4
+#: Lane count for the wide ``spawn`` pin: enough out-of-band buffers
+#: that a framing slip between buffers cannot go unnoticed.
+WIDE_LANES = 36
 #: Dyadic per-frame price: shard-local float sums associate exactly, so
 #: the merged ledger's total_cost is equality-comparable to the pooled
 #: account's (frames and requests are ints — always exact).
@@ -92,6 +102,21 @@ def setup():
             )
         )
     return fleet, lanes
+
+
+@pytest.fixture(scope="module")
+def wide_lanes(setup):
+    fleet, lanes = setup
+    spec = make_thumos(scale=0.06).with_events(["E7"])
+    extractor = FeatureExtractor()
+    event_types = fleet.marshaller.event_types
+    wide = list(lanes)
+    for i in range(len(lanes), WIDE_LANES):
+        stream = make_stream(spec, seed=900 + i, name=f"lane{i}")
+        wide.append(
+            FleetLane(stream=stream, features=extractor.extract(stream, event_types))
+        )
+    return wide
 
 
 def single_process_reference(fleet, lanes):
@@ -217,6 +242,72 @@ def test_sharded_spawn_start_method_byte_identical(setup):
         ), name
 
 
+def test_sharded_spawn_wide_fleet_byte_identical(setup, wide_lanes):
+    """The streamed transport at breadth: every one of 36 lanes ships
+    its feature matrix as its own out-of-band buffer, and the spawn run
+    still reproduces the single-process bytes, ledger included."""
+    fleet, _ = setup
+    single, service = single_process_reference(fleet, wide_lanes)
+    sharded = ShardedFleetMarshaller(
+        fleet,
+        2,
+        service_factory=PlainServiceFactory(pricing=PRICE),
+        start_method="spawn",
+    )
+    report = sharded.run(wide_lanes, max_horizons=MAX_HORIZONS)
+    assert list(report.per_stream) == [lane.name for lane in wide_lanes]
+    for name in single.per_stream:
+        assert canonical(report.per_stream[name].to_dict()) == canonical(
+            single.per_stream[name].to_dict()
+        ), name
+    assert report.ledger.frames_processed == service.ledger.frames_processed
+    assert report.ledger.total_cost == service.ledger.total_cost
+
+
+def test_payload_transport_round_trips_lane_arrays(setup, wide_lanes):
+    """A real worker payload survives the streamed transport: each lane's
+    feature matrix comes back bitwise equal, same dtype, C-contiguous and
+    writable — what a ``fork`` worker would have inherited."""
+    fleet, _ = setup
+    sharded = ShardedFleetMarshaller(
+        fleet, 2, service_factory=PlainServiceFactory(pricing=PRICE)
+    )
+    payload = sharded._payload(
+        wide_lanes, {"max_horizons": MAX_HORIZONS}, False, 0
+    )
+    head, buffers = _pickle_payload(payload)
+    # Every feature matrix travels out of band, never inside the head.
+    assert len(buffers) >= len(wide_lanes)
+    assert len(head) < sum(lane.features.values.nbytes for lane in wide_lanes)
+
+    receiver, sender_end = multiprocessing.Pipe()
+    sender = threading.Thread(
+        target=_send_payload, args=(sender_end, head, buffers)
+    )
+    sender.start()
+    try:
+        rebuilt = _recv_payload(receiver)
+    finally:
+        sender.join(timeout=30.0)
+        receiver.close()
+        sender_end.close()
+    assert not sender.is_alive()
+
+    assert [lane.name for lane in rebuilt["lanes"]] == [
+        lane.name for lane in wide_lanes
+    ]
+    for original, copy in zip(wide_lanes, rebuilt["lanes"]):
+        sent, got = original.features.values, copy.features.values
+        assert got.dtype == sent.dtype
+        assert got.shape == sent.shape
+        assert got.tobytes() == sent.tobytes(), original.name
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.flags["WRITEABLE"]
+        assert not np.shares_memory(got, sent)
+        assert copy.features.channel_names == original.features.channel_names
+    assert rebuilt["run_kwargs"] == {"max_horizons": MAX_HORIZONS}
+
+
 def test_sharded_report_round_trips_through_pickle(setup):
     fleet, lanes = setup
     sharded = ShardedFleetMarshaller(
@@ -288,6 +379,68 @@ def test_shard_worker_crash_surfaces_with_traceback(setup):
     sharded = ShardedFleetMarshaller(fleet, 2, service_factory=_BoomFactory())
     with pytest.raises(RuntimeError, match="shard"):
         sharded.run(lanes[:4], max_horizons=2)
+
+
+class _UnpicklableInWorkerFactory(PlainServiceFactory):
+    """Pickles fine in the coordinator, fails to unpickle in a worker."""
+
+    def __setstate__(self, state):
+        raise RuntimeError("setstate boom")
+
+
+def test_spawn_payload_decode_failure_surfaces_promptly(setup):
+    """A payload that cannot be rebuilt in a ``spawn`` worker sends its
+    traceback at once: the run fails with it well inside the start-up
+    timeout and leaves no worker or sender thread behind."""
+    fleet, lanes = setup
+    sharded = ShardedFleetMarshaller(
+        fleet, 2, service_factory=_UnpicklableInWorkerFactory(pricing=PRICE),
+        start_method="spawn", startup_timeout=60.0,
+    )
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="setstate boom"):
+        sharded.run(lanes[:4], max_horizons=2)
+    assert time.monotonic() - started < 30.0
+    assert not [t for t in threading.enumerate() if t.name.startswith("shard-payload")]
+
+
+def test_spawn_supervised_payload_decode_failure_escalates_promptly(setup):
+    """Supervised, the same failure kills every attempt at once with its
+    traceback in the event log; once the restart budget is spent the
+    coordinator rescues the lanes in process, where nothing is unpickled,
+    so the run completes with the single-process bytes."""
+    fleet, lanes = setup
+    single, _ = single_process_reference(fleet, lanes[:4])
+    sharded = ShardedFleetMarshaller(
+        fleet, 2, service_factory=_UnpicklableInWorkerFactory(pricing=PRICE),
+        start_method="spawn",
+        supervisor=SupervisorConfig(max_restarts=1, startup_deadline=60.0),
+    )
+    started = time.monotonic()
+    report = sharded.run(lanes[:4], max_horizons=MAX_HORIZONS)
+    assert time.monotonic() - started < 30.0
+    deaths = [e for e in report.supervision["events"] if e["kind"] == "dead"]
+    assert len(deaths) == 4  # two shards x (first attempt + one restart)
+    assert all("setstate boom" in e["detail"] for e in deaths)
+    assert sorted(report.supervision["rescued_lanes"]) == sorted(
+        lane.name for lane in lanes[:4]
+    )
+    for name in single.per_stream:
+        assert canonical(report.per_stream[name].to_dict()) == canonical(
+            single.per_stream[name].to_dict()
+        ), name
+    assert not [t for t in threading.enumerate() if t.name.startswith("shard-payload")]
+
+
+def test_unpicklable_payload_raises_in_caller_before_any_spawn(setup):
+    fleet, lanes = setup
+    sharded = ShardedFleetMarshaller(
+        fleet, 2, service_factory=lambda index, streams: None,
+        start_method="spawn",
+    )
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        sharded.run(lanes[:4], max_horizons=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_sharded_validates_arguments(setup):

@@ -23,6 +23,7 @@ the recovery tests spawn real workers and are marked ``chaos``.
 
 import json
 import multiprocessing
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -536,6 +537,81 @@ def test_no_workers_leak_after_any_failed_run(setup):
     )
     with pytest.raises(RuntimeError, match="shard"):
         killed.run(lanes, max_horizons=MAX_HORIZONS)
+    assert multiprocessing.active_children() == []
+
+
+def _sender_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("shard-payload")]
+
+
+@pytest.mark.chaos
+def test_no_sender_threads_leak_after_any_spawn_run(setup, references):
+    """Under ``spawn`` the coordinator streams each payload from a sender
+    thread; every exit path — success, injected crash without a
+    supervisor, startup timeout, supervised recovery — joins them all."""
+    fleet, lanes = setup
+    ok = ShardedFleetMarshaller(
+        fleet, 3, service_factory=PlainServiceFactory(pricing=PRICE),
+        start_method="spawn",
+    )
+    ok.run(lanes, max_horizons=MAX_HORIZONS)
+    assert _sender_threads() == []
+
+    crash = ShardFaultPlan(faults=(ShardFault(shard=0, kind="crash", tick=1),))
+    failing = ShardedFleetMarshaller(
+        fleet, 3, service_factory=PlainServiceFactory(pricing=PRICE),
+        fault_plan=crash, start_method="spawn",
+    )
+    with pytest.raises(RuntimeError, match="shard"):
+        failing.run(lanes, max_horizons=MAX_HORIZONS)
+    assert _sender_threads() == []
+    assert multiprocessing.active_children() == []
+
+    hang = ShardFaultPlan(faults=(ShardFault(shard=1, kind="startup_hang"),))
+    hung = ShardedFleetMarshaller(
+        fleet, 3, service_factory=PlainServiceFactory(pricing=PRICE),
+        fault_plan=hang, start_method="spawn", startup_timeout=4.0,
+    )
+    with pytest.raises(RuntimeError, match="failed to start"):
+        hung.run(lanes, max_horizons=MAX_HORIZONS)
+    assert _sender_threads() == []
+    assert multiprocessing.active_children() == []
+
+    sigkill = ShardFaultPlan(
+        faults=(ShardFault(shard=2, kind="sigkill", tick=1),)
+    )
+    healed = supervised(fleet, sigkill, start_method="spawn")
+    report = healed.run(lanes, max_horizons=MAX_HORIZONS)
+    single, _, _ = references
+    for name in single.per_stream:
+        assert canonical(report.per_stream[name].to_dict()) == canonical(
+            single.per_stream[name].to_dict()
+        ), name
+    assert _sender_threads() == []
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_death_mid_transfer_surfaces_as_pipe_eof(setup):
+    """A ``spawn`` worker killed before it has read its payload breaks
+    the sender's pipe: the sender thread ends at once and the coordinator
+    reads EOF (or a reset, when the dead worker left payload bytes
+    unread) — the ordinary death path, never a start-up timeout."""
+    fleet, lanes = setup
+    sharded = ShardedFleetMarshaller(fleet, 1, start_method="spawn")
+    payload = sharded._payload(lanes, {"max_horizons": 1}, False, 0)
+    context = multiprocessing.get_context("spawn")
+    process, conn, sender = sharded._spawn(context, 0, payload)
+    try:
+        process.kill()
+        process.join(timeout=10.0)
+        sender.join(timeout=10.0)
+        assert not sender.is_alive()
+        assert conn.poll(10.0)
+        with pytest.raises((EOFError, ConnectionResetError)):
+            conn.recv()
+    finally:
+        sharded._reap([process], [conn], {conn: sender})
+    assert _sender_threads() == []
     assert multiprocessing.active_children() == []
 
 
