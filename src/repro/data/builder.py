@@ -175,10 +175,9 @@ def build_experiment_data(
         name: make_stream(spec, seed=seed * 101 + offset, name=f"{spec.name}-{name}")
         for offset, name in enumerate(("train", "calibration", "test"))
     }
-    features = {
-        name: extractor.extract(stream, event_types)
-        for name, stream in streams.items()
-    }
+    features = dict(
+        zip(streams, extractor.extract_many(list(streams.values()), event_types))
+    )
     standardizer = Standardizer.fit(features["train"].values)
     pipeline = CovariatePipeline(spec.window_size, standardizer=standardizer)
     builder = DatasetBuilder(

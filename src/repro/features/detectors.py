@@ -94,8 +94,22 @@ class SimulatedObjectDetector:
         self, stream: VideoStream, event_type: EventType
     ) -> np.ndarray:
         """Expected target-object count per frame (before Poisson noise)."""
-        occupancy = stream.schedule.occupancy_mask(event_type).astype(float)
-        dist = stream.schedule.time_to_next_onset(event_type)
+        schedule = stream.schedule
+        return self._rates(
+            event_type,
+            schedule.occupancy_mask(event_type).astype(float),
+            schedule.time_to_next_onset(event_type),
+        )
+
+    def counts(self, stream: VideoStream, event_type: EventType) -> np.ndarray:
+        """Noisy per-frame target-object counts (ints >= 0)."""
+        return self._draw(stream, event_type, self.detection_rates(stream, event_type))
+
+    def _rates(
+        self, event_type: EventType, occupancy: np.ndarray, dist: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`detection_rates` from the schedule's occupancy (as floats)
+        and time-to-next-onset arrays."""
         window = max(1, int(event_type.lead_time * self.precursor_fraction))
         with np.errstate(invalid="ignore"):
             ramp = np.clip(1.0 - dist / window, 0.0, 1.0)
@@ -106,9 +120,10 @@ class SimulatedObjectDetector:
             + signal * (self.profile.event_rate - self.profile.background_rate)
         )
 
-    def counts(self, stream: VideoStream, event_type: EventType) -> np.ndarray:
-        """Noisy per-frame target-object counts (ints >= 0)."""
-        rates = self.detection_rates(stream, event_type)
+    def _draw(
+        self, stream: VideoStream, event_type: EventType, rates: np.ndarray
+    ) -> np.ndarray:
+        """Poisson counts around ``rates`` from the stream's detector RNG."""
         rng = stream.observation_rng(salt=_salt("detector", event_type.name))
         return rng.poisson(rates)
 

@@ -81,22 +81,22 @@ def build_fleet_lanes(
 
     spec = experiment.data.spec
     event_types = experiment.data.event_types
-    extractor = FeatureExtractor()
+    streams = [
+        make_stream(
+            spec,
+            seed=seed * 101 + _FLEET_SEED_BASE + i,
+            name=f"{spec.name}-fleet{i}",
+        )
+        for i in range(1, num_streams)
+    ]
+    features = FeatureExtractor().extract_many(streams, event_types)
     lanes = [
         FleetLane(
             stream=experiment.data.test_stream,
             features=experiment.data.test_features,
         )
     ]
-    for i in range(1, num_streams):
-        stream = make_stream(
-            spec,
-            seed=seed * 101 + _FLEET_SEED_BASE + i,
-            name=f"{spec.name}-fleet{i}",
-        )
-        lanes.append(
-            FleetLane(stream=stream, features=extractor.extract(stream, event_types))
-        )
+    lanes += [FleetLane(stream=s, features=f) for s, f in zip(streams, features)]
     if partition is not None:
         return partition(lanes)
     return lanes

@@ -190,13 +190,16 @@ class EventSchedule:
         Feature extraction uses this to shape the precursor ramp (the ramp
         anticipates each upcoming onset).
         """
-        # Buckets are sorted by start, so the next onset is a binary search.
-        starts = np.array([i.start for i in self.instances_of(event_type)])
-        frames = np.arange(self.length)
-        nxt = np.searchsorted(starts, frames)
+        # Buckets are sorted by start: frames previous..start count down to
+        # each onset, one slice of a shared countdown per onset.
         dist = np.full(self.length, np.inf)
-        ahead = nxt < starts.size
-        dist[ahead] = starts[nxt[ahead]] - frames[ahead]
+        countdown = np.arange(self.length - 1, -1, -1, dtype=float)
+        previous = 0
+        for inst in self._by_type.get(event_type.name, []):
+            dist[previous : inst.start + 1] = countdown[
+                self.length - 1 - (inst.start - previous) :
+            ]
+            previous = inst.start + 1
         return dist
 
     # ------------------------------------------------------------------
